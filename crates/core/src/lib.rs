@@ -45,6 +45,7 @@ use qdevice::{CouplingMap, NoiseModel};
 
 use ir::PauliIR;
 use schedule::Layer;
+use synth::par::Intra;
 
 /// Which technology-independent scheduling pass to run (paper §4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,6 +187,28 @@ pub fn run_scheduler(ir: &PauliIR, scheduler: Scheduler) -> Vec<Layer> {
     }
 }
 
+/// Runs the selected block-wise synthesis pass on `n`-qubit scheduled
+/// layers: [`synth::ft::synthesize`] or [`synth::sc::synthesize`]. The
+/// circuit is not yet peephole-optimized.
+///
+/// # Panics
+///
+/// Panics on an SC device that is disconnected or smaller than the
+/// program; [`validate`] rejects such requests up front.
+pub fn run_synthesis(
+    n: usize,
+    layers: &[Layer],
+    backend: &Backend<'_>,
+    intra: Intra<'_>,
+) -> Compiled {
+    match *backend {
+        Backend::FaultTolerant => synth::ft::synthesize(n, layers, intra),
+        Backend::Superconducting { device, noise } => {
+            synth::sc::synthesize(n, layers, device, noise, intra)
+        }
+    }
+}
+
 /// Picks a scheduler from the program's Pauli-string pattern — the
 /// adaptive pass management the paper sketches in §7, based on its own
 /// §6.3 analysis:
@@ -234,8 +257,9 @@ pub fn validate(ir: &PauliIR, backend: &Backend<'_>) -> Result<(), CompileError>
     Ok(())
 }
 
-/// Compiles a Pauli IR program: scheduling followed by block-wise
-/// backend synthesis and a peephole clean-up.
+/// Compiles a Pauli IR program: [`validate`], then the three stages
+/// [`run_scheduler`] → [`run_synthesis`] → [`qcircuit::peephole::optimize`].
+/// The `ph_engine` standard pipeline runs exactly these functions.
 ///
 /// # Errors
 ///
@@ -244,27 +268,10 @@ pub fn validate(ir: &PauliIR, backend: &Backend<'_>) -> Result<(), CompileError>
 pub fn try_compile(ir: &PauliIR, options: &CompileOptions<'_>) -> Result<Compiled, CompileError> {
     validate(ir, &options.backend)?;
     let layers = run_scheduler(ir, options.scheduler);
-    let intra = synth::par::Intra::new(options.intra_threads);
-    Ok(match options.backend {
-        Backend::FaultTolerant => {
-            let r = synth::ft::synthesize_with(ir.num_qubits(), &layers, intra);
-            Compiled {
-                circuit: r.circuit,
-                emitted: r.emitted,
-                initial_l2p: None,
-                final_l2p: None,
-            }
-        }
-        Backend::Superconducting { device, noise } => {
-            let r = synth::sc::synthesize_with(ir.num_qubits(), &layers, device, noise, intra);
-            Compiled {
-                circuit: r.circuit,
-                emitted: r.emitted,
-                initial_l2p: Some(r.initial_l2p),
-                final_l2p: Some(r.final_l2p),
-            }
-        }
-    })
+    let intra = Intra::new(options.intra_threads);
+    let mut compiled = run_synthesis(ir.num_qubits(), &layers, &options.backend, intra);
+    qcircuit::peephole::optimize(&mut compiled.circuit);
+    Ok(compiled)
 }
 
 /// Compiles a Pauli IR program, panicking on invalid input. Thin wrapper

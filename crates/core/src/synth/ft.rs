@@ -5,7 +5,9 @@
 //! pairs with the most operator overlap are selected greedily, the
 //! junction strings of each pair are placed face to face, strings inside
 //! every block are chained by `most_overlap_sort`, and the whole sequence
-//! is synthesized with aligned CNOT chains followed by one peephole pass.
+//! is synthesized with aligned CNOT chains. Gate cancellation across the
+//! chains is left to `qcircuit::peephole`, which [`crate::try_compile`]
+//! runs as its own stage.
 //!
 //! One deliberate simplification versus the pseudocode: paired layers are
 //! *emitted in their scheduled order* (pairing only decides which junctions
@@ -15,24 +17,11 @@
 //! the pairing found.
 
 use pauli::PauliString;
-use qcircuit::peephole::{self, PeepholeReport};
-use qcircuit::Circuit;
 
 use crate::schedule::Layer;
 use crate::synth::chain;
 use crate::synth::par::Intra;
-
-/// Result of FT-backend synthesis.
-#[derive(Clone, Debug)]
-pub struct FtResult {
-    /// The optimized logical circuit.
-    pub circuit: Circuit,
-    /// The `(string, θ)` sequence actually synthesized, in emission order —
-    /// the compiled circuit implements `Π exp(iθP)` in exactly this order.
-    pub emitted: Vec<(PauliString, f64)>,
-    /// What the final peephole pass cancelled.
-    pub peephole: PeepholeReport,
-}
+use crate::Compiled;
 
 /// Greedy pairing of adjacent layers by junction overlap (Alg. 2 lines
 /// 1–5). Returns for each layer index the index it is paired with (self if
@@ -89,15 +78,10 @@ fn most_overlap_chain(
 }
 
 /// Orders all strings of the scheduled layers for synthesis (Alg. 2).
-pub fn order_strings(n: usize, layers: &[Layer]) -> Vec<(PauliString, f64)> {
-    order_strings_with(n, layers, Intra::sequential())
-}
-
-/// [`order_strings`] with an explicit intra-compile parallelism context.
-/// The result is bit-identical for every worker count: junctions are
-/// independent, and the per-junction argmax keeps its sequential
-/// first-max-wins scan order.
-pub fn order_strings_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(PauliString, f64)> {
+/// The result is bit-identical for every worker count in `intra`:
+/// junctions are independent, and the per-junction argmax keeps its
+/// sequential first-max-wins scan order.
+pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(PauliString, f64)> {
     let partner = pair_layers(n, layers, intra);
     // Junction anchors: for a pair (i, i+1), the string pair with maximal
     // overlap across the junction (Alg. 2 lines 7–9). This quadratic
@@ -179,37 +163,18 @@ pub fn order_strings_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(
     out
 }
 
-/// Synthesizes scheduled layers for the FT backend *without* the final
-/// peephole clean-up. The pass manager in `ph_engine` uses this to run
-/// (and instrument) the peephole as its own pass; the returned
-/// `peephole` report is all zeros.
-pub fn synthesize_unoptimized(n: usize, layers: &[Layer]) -> FtResult {
-    synthesize_unoptimized_with(n, layers, Intra::sequential())
-}
-
-/// [`synthesize_unoptimized`] with an explicit intra-compile parallelism
-/// context; the emitted circuit is bit-identical for every worker count.
-pub fn synthesize_unoptimized_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
-    let emitted = order_strings_with(n, layers, intra);
+/// Synthesizes scheduled layers for the FT backend into a logical
+/// circuit (no layouts). The circuit is bit-identical for every worker
+/// count in `intra`.
+pub fn synthesize(n: usize, layers: &[Layer], intra: Intra<'_>) -> Compiled {
+    let emitted = order_strings(n, layers, intra);
     let circuit = chain::synthesize_sequence_with(n, &emitted, intra);
-    FtResult {
+    Compiled {
         circuit,
         emitted,
-        peephole: PeepholeReport::default(),
+        initial_l2p: None,
+        final_l2p: None,
     }
-}
-
-/// Synthesizes scheduled layers for the FT backend.
-pub fn synthesize(n: usize, layers: &[Layer]) -> FtResult {
-    synthesize_with(n, layers, Intra::sequential())
-}
-
-/// [`synthesize`] with an explicit intra-compile parallelism context (the
-/// final peephole pass is a global sequential sweep either way).
-pub fn synthesize_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
-    let mut r = synthesize_unoptimized_with(n, layers, intra);
-    r.peephole = peephole::optimize(&mut r.circuit);
-    r
 }
 
 #[cfg(test)]
@@ -218,6 +183,15 @@ mod tests {
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
     use pauli::PauliTerm;
+    use qcircuit::peephole;
+
+    /// Synthesis followed by the peephole clean-up, as the compile path
+    /// runs them.
+    fn synthesize(n: usize, layers: &[Layer]) -> Compiled {
+        let mut r = super::synthesize(n, layers, Intra::sequential());
+        peephole::optimize(&mut r.circuit);
+        r
+    }
 
     fn ir_of(blocks: Vec<Vec<&str>>) -> PauliIR {
         let n = blocks[0][0].len();

@@ -14,7 +14,6 @@
 //! active-qubit distance (Alg. 3 lines 18–23).
 
 use pauli::PauliString;
-use qcircuit::peephole::{self, PeepholeReport};
 use qcircuit::{Circuit, Gate};
 use qdevice::{CouplingMap, Layout, NoiseModel};
 
@@ -22,22 +21,7 @@ use crate::ir::PauliBlock;
 use crate::schedule::Layer;
 use crate::synth::chain::{basis_in, basis_out};
 use crate::synth::par::Intra;
-
-/// Result of SC-backend synthesis: a hardware-conformant physical circuit
-/// plus the layout bookkeeping needed to interpret it.
-#[derive(Clone, Debug)]
-pub struct ScResult {
-    /// The physical circuit (only coupled CNOT/SWAP pairs are used).
-    pub circuit: Circuit,
-    /// Initial physical position of every logical qubit.
-    pub initial_l2p: Vec<usize>,
-    /// Final physical position of every logical qubit.
-    pub final_l2p: Vec<usize>,
-    /// The `(string, θ)` sequence in emission order.
-    pub emitted: Vec<(PauliString, f64)>,
-    /// What the final peephole pass cancelled.
-    pub peephole: PeepholeReport,
-}
+use crate::Compiled;
 
 /// Why a small block could not be processed in parallel with its layer's
 /// anchor.
@@ -506,42 +490,26 @@ fn process_block(
     Ok((0..n_phys).filter(|&p| touched[p]).collect())
 }
 
-/// Compiles scheduled layers onto a superconducting device (Alg. 3)
-/// *without* the final peephole clean-up. The pass manager in `ph_engine`
-/// uses this to run (and instrument) the peephole as its own pass; the
-/// returned `peephole` report is all zeros.
-///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize_unoptimized(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-) -> ScResult {
-    synthesize_unoptimized_with(n_logical, layers, device, noise, Intra::sequential())
-}
-
-/// [`synthesize_unoptimized`] with an explicit intra-compile parallelism
-/// context. The block emission order is inherently sequential (the layout
-/// is carried from block to block), but the argbest scans inside — layout
-/// placement, per-string selection, block-scope SWAP scoring — shard
-/// across workers with sequential tie semantics, so the result is
+/// Compiles scheduled layers onto a superconducting device (Alg. 3) into
+/// a hardware-conformant physical circuit (only coupled CNOT/SWAP pairs),
+/// with the initial and final logical→physical layouts needed to
+/// interpret it. The block emission order is inherently sequential (the
+/// layout is carried from block to block), but the argbest scans inside —
+/// layout placement, per-string selection, block-scope SWAP scoring —
+/// shard across workers with sequential tie semantics, so the result is
 /// bit-identical for every worker count.
 ///
 /// # Panics
 ///
 /// Panics if the device is disconnected or has fewer qubits than the
 /// program.
-pub fn synthesize_unoptimized_with(
+pub fn synthesize(
     n_logical: usize,
     layers: &[Layer],
     device: &CouplingMap,
     noise: Option<&NoiseModel>,
     intra: Intra<'_>,
-) -> ScResult {
+) -> Compiled {
     assert!(
         device.is_connected(),
         "device coupling map must be connected"
@@ -636,47 +604,12 @@ pub fn synthesize_unoptimized_with(
         .map_err(|_| unreachable!("unconstrained blocks never defer"));
     }
 
-    ScResult {
+    Compiled {
         circuit,
-        initial_l2p: initial,
-        final_l2p: layout.l2p().to_vec(),
         emitted,
-        peephole: PeepholeReport::default(),
+        initial_l2p: Some(initial),
+        final_l2p: Some(layout.l2p().to_vec()),
     }
-}
-
-/// Compiles scheduled layers onto a superconducting device (Alg. 3).
-///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-) -> ScResult {
-    synthesize_with(n_logical, layers, device, noise, Intra::sequential())
-}
-
-/// [`synthesize`] with an explicit intra-compile parallelism context (the
-/// final peephole pass is a global sequential sweep either way).
-///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize_with(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-    intra: Intra<'_>,
-) -> ScResult {
-    let mut r = synthesize_unoptimized_with(n_logical, layers, device, noise, intra);
-    r.peephole = peephole::optimize(&mut r.circuit);
-    r
 }
 
 #[cfg(test)]
@@ -685,7 +618,21 @@ mod tests {
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
     use pauli::PauliTerm;
+    use qcircuit::peephole;
     use qdevice::devices;
+
+    /// Synthesis followed by the peephole clean-up, as the compile path
+    /// runs them.
+    fn synthesize(
+        n: usize,
+        layers: &[Layer],
+        device: &CouplingMap,
+        noise: Option<&NoiseModel>,
+    ) -> Compiled {
+        let mut r = super::synthesize(n, layers, device, noise, Intra::sequential());
+        peephole::optimize(&mut r.circuit);
+        r
+    }
 
     fn ir_of(blocks: Vec<Vec<&str>>) -> PauliIR {
         let n = blocks[0][0].len();
@@ -702,7 +649,7 @@ mod tests {
         ir
     }
 
-    fn check_conformant(r: &ScResult, device: &CouplingMap) {
+    fn check_conformant(r: &Compiled, device: &CouplingMap) {
         assert!(r
             .circuit
             .respects_connectivity(|a, b| device.has_edge(a, b)));
@@ -816,7 +763,7 @@ mod tests {
         let layers = schedule::schedule_depth(&ir);
         let r = synthesize(8, &layers, &device, None);
         let mut seen = vec![false; device.num_qubits()];
-        for &p in &r.final_l2p {
+        for &p in r.final_l2p.as_ref().unwrap() {
             assert!(!seen[p], "physical qubit {p} assigned twice");
             seen[p] = true;
         }

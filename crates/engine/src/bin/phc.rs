@@ -117,6 +117,37 @@ use ph_engine::{
 use ph_telemetry::export;
 use qcircuit::qasm::{to_qasm, QasmOptions};
 
+/// The usage text: printed to stdout by `phc --help` (also `-h` or
+/// `phc help`), and to stderr after "phc: " when a mode is missing its
+/// inputs.
+const USAGE: &str = "\
+usage: phc INPUT.pauli [--backend ft|manhattan|melbourne|linear:N|grid:RxC]
+                       [--scheduler auto|gco|do] [--intra-threads N]
+                       [--qasm OUT.qasm] [--report] [--fault-plan SPEC]
+                       [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
+       phc batch INPUT1.pauli INPUT2.pauli … [--backend B] [--scheduler S]
+                 [--threads N] [--intra-threads N] [--json REPORT.json]
+                 [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
+                 [--fault-plan SPEC]
+                 [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
+       phc serve [--listen ADDR] [--backend B] [--scheduler S] [--threads N]
+                 [--queue N] [--deadline-ms N] [--watchdog-ms N]
+                 [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
+                 [--fault-plan SPEC]
+                 [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
+       phc submit ADDR INPUT1.pauli … [--backend B] [--scheduler S]
+                  [--deadline-ms N] [--artifact] [--retries N]
+                  [--connect-timeout-ms N] [--read-timeout-ms N]
+                  [--retry-seed N] [--stats] [--health] [--shutdown]
+       phc --help
+
+INPUT is a file in the Pauli IR surface syntax, e.g.
+  {(IIXY, 0.5), (IIYX, -0.5), theta1};
+  {(ZZII, 0.134), 0.5};
+or workload:NAME for a Table 1 benchmark (workload:UCCSD-16) or a scale
+lattice (workload:Heisen-1000). --intra-threads 0 uses one worker per CPU.
+";
+
 /// The single flag table both the parser and the positional filter derive
 /// from: every `--flag` the CLI understands, and whether it consumes the
 /// next argument as its value. Adding a flag here is the *only* step —
@@ -168,7 +199,7 @@ fn positionals(args: &[String]) -> Result<Vec<String>, String> {
             }
             Some(false) => {}
             None if a.starts_with("--") => {
-                return Err(format!("unknown flag `{a}` (see phc --help in the docs)"));
+                return Err(format!("unknown flag `{a}` (see phc --help)"));
             }
             None => out.push(a.clone()),
         }
@@ -327,13 +358,7 @@ fn write_exports(args: &[String], collector: &Collector) -> Result<(), String> {
 fn run_batch(args: &[String]) -> Result<(), String> {
     let files = positionals(args)?;
     if files.is_empty() {
-        return Err(
-            "usage: phc batch INPUT1.pauli INPUT2.pauli … [--backend B] [--scheduler S] \
-             [--threads N] [--intra-threads N] [--json OUT.json] [--cache-dir DIR] \
-             [--cache-entries N] [--cache-bytes N] [--trace-out TRACE.json] \
-             [--metrics-out METRICS.jsonl] (INPUT may be workload:NAME)"
-                .into(),
-        );
+        return Err(USAGE.into());
     }
     let scheduler = parse_scheduler(args)?;
     let mut jobs = Vec::new();
@@ -431,13 +456,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
 /// it with a `shutdown` request.
 fn run_serve(args: &[String]) -> Result<(), String> {
     if !positionals(args)?.is_empty() {
-        return Err(
-            "usage: phc serve [--listen ADDR] [--backend B] [--scheduler S] [--threads N] \
-             [--queue N] [--deadline-ms N] [--watchdog-ms N] [--cache-dir DIR] \
-             [--cache-entries N] [--cache-bytes N] [--fault-plan SPEC] \
-             [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]"
-                .into(),
-        );
+        return Err(USAGE.into());
     }
     let scheduler = parse_scheduler(args)?;
     // The server's default target; per-request `backend` specs override it.
@@ -526,20 +545,17 @@ const CAPACITY_KINDS: [&str; 4] = [
 /// final report (in id order) plus a closing `client` counters line, and
 /// exit with the taxonomy code for the worst thing that happened.
 fn run_submit(args: &[String]) -> Result<(), (u8, String)> {
-    let usage = "usage: phc submit ADDR INPUT1.pauli … [--backend B] [--scheduler S] \
-                 [--deadline-ms N] [--artifact] [--retries N] [--connect-timeout-ms N] \
-                 [--read-timeout-ms N] [--retry-seed N] [--stats] [--health] [--shutdown]";
     let local = |m: String| (EXIT_USAGE, m);
     let transport = |e: ClientError| (EXIT_TRANSPORT, e.to_string());
     let pos = positionals(args).map_err(local)?;
     let Some((addr, files)) = pos.split_first() else {
-        return Err(local(usage.into()));
+        return Err(local(USAGE.into()));
     };
     let want_stats = flag_present(args, "--stats");
     let want_health = flag_present(args, "--health");
     let want_shutdown = flag_present(args, "--shutdown");
     if files.is_empty() && !want_stats && !want_health && !want_shutdown {
-        return Err(local(usage.into()));
+        return Err(local(USAGE.into()));
     }
     let scheduler = match value_of(args, "--scheduler") {
         None => None,
@@ -656,12 +672,7 @@ fn run_submit(args: &[String]) -> Result<(), (u8, String)> {
 }
 
 fn run_single(args: &[String]) -> Result<(), String> {
-    let input = positionals(args)?.into_iter().next().ok_or(
-        "usage: phc INPUT.pauli [--backend ft|manhattan|melbourne|linear:N|grid:RxC] \
-         [--scheduler auto|gco|do] [--intra-threads N] [--qasm OUT.qasm] [--report] \
-         [--trace-out TRACE.json] [--metrics-out METRICS.jsonl] (INPUT may be workload:NAME)\n\
-         \x20      phc batch INPUT… [--threads N] [--json OUT.json]",
-    )?;
+    let input = positionals(args)?.into_iter().next().ok_or(USAGE)?;
     let ir = load_input(&input)?;
     eprintln!(
         "parsed {}: {} blocks, {} strings, {} qubits",
@@ -720,6 +731,10 @@ fn main() -> ExitCode {
     // Only `submit` has a typed exit-code taxonomy; everything else maps
     // failure to the conventional 1.
     let result = match args.first().map(String::as_str) {
+        Some("--help" | "-h" | "help") => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Some("batch") => run_batch(&args[1..]).map_err(|m| (EXIT_USAGE, m)),
         Some("serve") => run_serve(&args[1..]).map_err(|m| (EXIT_USAGE, m)),
         Some("submit") => run_submit(&args[1..]),
@@ -728,7 +743,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err((code, msg)) => {
-            eprintln!("phc: {msg}");
+            eprintln!("phc: {}", msg.trim_end());
             ExitCode::from(code)
         }
     }

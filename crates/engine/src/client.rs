@@ -97,8 +97,9 @@ impl Connection {
     ///
     /// Any socket write failure.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write: a separate newline write would wait on the peer's
+        // delayed ACK under Nagle's algorithm.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()
     }
 

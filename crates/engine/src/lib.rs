@@ -49,7 +49,8 @@
 //! use paulihedral::parse::parse_program;
 //!
 //! let ir = parse_program("{(ZZY, 0.5), 1.0}; {(ZZI, 0.3), 1.0};")?;
-//! let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+//! // One worker runs the jobs in order, so "b" finds "a" in the cache.
+//! let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
 //! let results = engine.compile_all(vec![
 //!     CompileJob::named("a", ir.clone()),
 //!     CompileJob::named("b", ir), // identical → served from cache

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use paulihedral::synth::par::Intra;
-use paulihedral::{synth, Backend, CompileError, Scheduler};
+use paulihedral::{Backend, CompileError, Scheduler};
 use qcircuit::{fusion, peephole};
 use qdevice::{CouplingMap, NoiseModel};
 
@@ -207,9 +207,8 @@ impl Pass for SchedulePass {
 }
 
 /// Technology-dependent block-wise synthesis (paper §5): Alg. 2 on the FT
-/// target, Alg. 3 on the SC target. Produces the raw circuit; the final
-/// clean-up lives in [`PeepholePass`] so its effect is instrumented
-/// separately.
+/// target, Alg. 3 on the SC target, through [`paulihedral::run_synthesis`].
+/// Produces the raw circuit; the clean-up is [`PeepholePass`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SynthesisPass;
 
@@ -227,34 +226,23 @@ impl Pass for SynthesisPass {
             .layers
             .as_ref()
             .expect("SynthesisPass needs scheduled layers — add a SchedulePass first");
-        let n = unit.ir.num_qubits();
-        match ctx.target {
-            Target::FaultTolerant => {
-                let r = synth::ft::synthesize_unoptimized_with(n, layers, ctx.intra);
-                unit.circuit = Some(r.circuit);
-                unit.emitted = r.emitted;
-            }
-            Target::Superconducting { device, noise } => {
-                let r = synth::sc::synthesize_unoptimized_with(
-                    n,
-                    layers,
-                    device,
-                    noise.as_deref(),
-                    ctx.intra,
-                );
-                unit.circuit = Some(r.circuit);
-                unit.emitted = r.emitted;
-                unit.initial_l2p = Some(r.initial_l2p);
-                unit.final_l2p = Some(r.final_l2p);
-            }
-        }
+        let out = paulihedral::run_synthesis(
+            unit.ir.num_qubits(),
+            layers,
+            &ctx.target.as_backend(),
+            ctx.intra,
+        );
+        unit.circuit = Some(out.circuit);
+        unit.emitted = out.emitted;
+        unit.initial_l2p = out.initial_l2p;
+        unit.final_l2p = out.final_l2p;
         Ok(format!("{} strings emitted", unit.emitted.len()))
     }
 }
 
-/// Commutation-aware peephole cancellation ([`qcircuit::peephole`]) — the
-/// clean-up [`paulihedral::compile`] runs as the tail of synthesis, split
-/// out so the report shows what it cancelled.
+/// Commutation-aware peephole cancellation ([`qcircuit::peephole::optimize`]),
+/// the third stage of [`paulihedral::try_compile`], run as its own pass so
+/// the report shows what it cancelled.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PeepholePass;
 

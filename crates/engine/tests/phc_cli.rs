@@ -1,5 +1,6 @@
-//! Process-level tests of the `phc` binary: batch exit codes, and two
-//! processes sharing one `--cache-dir` through the serve/submit pair.
+//! Process-level tests of the `phc` binary: the help text, batch exit
+//! codes, and two processes sharing one `--cache-dir` through the
+//! serve/submit pair.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -39,6 +40,31 @@ fn wait_with_timeout(child: &mut Child, timeout: Duration) -> std::process::Exit
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h", "help"] {
+        let out = Command::new(PHC).arg(flag).output().expect("run phc");
+        assert!(out.status.success(), "phc {flag}: {:?}", out.status);
+        assert!(out.stderr.is_empty(), "phc {flag} wrote to stderr");
+        let usage = String::from_utf8(out.stdout).expect("utf-8 usage");
+        assert!(usage.starts_with("usage: phc INPUT.pauli"), "{usage}");
+        for mode in ["phc batch", "phc serve", "phc submit ADDR"] {
+            assert!(usage.contains(mode), "phc {flag} lacks `{mode}`: {usage}");
+        }
+    }
+
+    let out = Command::new(PHC)
+        .args(["workload:Ising-1D", "--hlep"])
+        .output()
+        .expect("run phc");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--hlep` (see phc --help)"),
+        "{stderr}"
+    );
 }
 
 #[test]

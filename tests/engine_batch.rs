@@ -4,8 +4,8 @@
 //! and its cache must serve repeated programs without changing results.
 
 use paulihedral::{try_compile, Backend, CompileOptions, Scheduler};
-use ph_engine::{BatchEngine, CompileJob, Pipeline, Target};
-use qdevice::devices;
+use ph_engine::{BatchEngine, CompileJob, Engine, Pipeline, Target};
+use qdevice::{devices, NoiseModel};
 use workloads::suite::{self, BackendClass};
 
 /// The paper's evaluation configuration: SC benchmarks use depth-oriented
@@ -103,6 +103,59 @@ fn batch_engine_is_bit_identical_to_sequential_compile_on_all_31_benchmarks() {
         let s = batch.report.final_stats();
         assert_eq!(s.cnot, batch.compiled.circuit.stats().cnot, "{name}");
     }
+}
+
+#[test]
+fn noisy_sc_engine_is_bit_identical_to_try_compile() {
+    // The noise model steers SC routing; it must reach synthesis the same
+    // way through the engine's target as through `CompileOptions`.
+    let device = devices::manhattan_65();
+    let noise = NoiseModel::synthetic(&device, 65);
+    let engine = Engine::new(
+        Pipeline::standard(Scheduler::Depth),
+        Target::superconducting_noisy(device.clone(), noise.clone()),
+    );
+    let mut steered = 0;
+    for name in ["UCCSD-8", "UCCSD-12", "REG-20-4", "TSP-4"] {
+        let ir = suite::generate(name).ir;
+        let noisy = |noise| {
+            try_compile(
+                &ir,
+                &CompileOptions::new(
+                    Scheduler::Depth,
+                    Backend::Superconducting {
+                        device: &device,
+                        noise,
+                    },
+                ),
+            )
+            .unwrap_or_else(|e| panic!("{name} failed sequentially: {e}"))
+        };
+        let sequential = noisy(Some(&noise));
+        let out = engine
+            .compile(&ir)
+            .unwrap_or_else(|e| panic!("{name} failed in the engine: {e}"));
+        assert_eq!(
+            sequential.circuit, out.compiled.circuit,
+            "{name}: engine circuit differs from try_compile"
+        );
+        assert_eq!(
+            sequential.emitted, out.compiled.emitted,
+            "{name}: emission order differs"
+        );
+        assert_eq!(
+            sequential.initial_l2p, out.compiled.initial_l2p,
+            "{name}: initial layout differs"
+        );
+        assert_eq!(
+            sequential.final_l2p, out.compiled.final_l2p,
+            "{name}: final layout differs"
+        );
+        if noisy(None).circuit != sequential.circuit {
+            steered += 1;
+        }
+    }
+    assert!(steered > 0, "the noise model never changed a circuit");
 }
 
 #[test]
