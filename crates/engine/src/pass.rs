@@ -242,7 +242,10 @@ impl Pass for SynthesisPass {
 
 /// Commutation-aware peephole cancellation ([`qcircuit::peephole::optimize`]),
 /// the third stage of [`paulihedral::try_compile`], run as its own pass so
-/// the report shows what it cancelled.
+/// the report shows what it cancelled. Each gate walks only its own wires'
+/// linked gate lists, and each fixpoint round re-examines only the gates
+/// whose walk may have changed, so the pass is near-linear in the gate
+/// count; the report's round count is that of whole-circuit rounds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PeepholePass;
 

@@ -108,6 +108,12 @@ impl Circuit {
         self.gates.iter()
     }
 
+    /// The gate vector, for passes in this crate that rewrite it in place.
+    /// Callers must keep every gate's qubits in range and distinct.
+    pub(crate) fn gates_mut(&mut self) -> &mut Vec<Gate> {
+        &mut self.gates
+    }
+
     /// Replaces the gate list (used by optimization passes).
     pub fn set_gates(&mut self, gates: Vec<Gate>) {
         self.gates.clear();

@@ -2,6 +2,8 @@
 //! single-qubit fusion never change a circuit's operator; scheduling never
 //! drops, duplicates or splits blocks; the IR parser round-trips.
 
+use std::f64::consts::FRAC_PI_4;
+
 use pauli::{Pauli, PauliString, PauliTerm};
 use paulihedral::ir::{Parameter, PauliBlock, PauliIR};
 use paulihedral::parse::{parse_program, print_program};
@@ -11,7 +13,17 @@ use qcircuit::{fusion, peephole, Circuit, Gate};
 use qsim::unitary::{circuit_unitary, equal_up_to_phase};
 
 fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
-    (0u8..9, 0..n, 0..n, -2.0f64..2.0).prop_map(move |(kind, a, b, theta)| {
+    arb_gate_with(n, -2.0f64..2.0)
+}
+
+/// Gates whose rotation angles are k·π/4, so that merged rotations often
+/// land on 0 (mod 2π) and are dropped.
+fn arb_quarter_turn_gate(n: usize) -> impl Strategy<Value = Gate> {
+    arb_gate_with(n, (-8i32..9).prop_map(|k| f64::from(k) * FRAC_PI_4))
+}
+
+fn arb_gate_with(n: usize, angle: impl Strategy<Value = f64>) -> impl Strategy<Value = Gate> {
+    (0u8..9, 0..n, 0..n, angle).prop_map(move |(kind, a, b, theta)| {
         let b = if a == b { (b + 1) % n } else { b };
         match kind {
             0 => Gate::H(a),
@@ -28,7 +40,15 @@ fn arb_gate(n: usize) -> impl Strategy<Value = Gate> {
 }
 
 fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
-    proptest::collection::vec(arb_gate(n), 0..max_len).prop_map(move |gates| {
+    circuit_of(n, max_len, arb_gate(n))
+}
+
+fn circuit_of(
+    n: usize,
+    max_len: usize,
+    gate: impl Strategy<Value = Gate>,
+) -> impl Strategy<Value = Circuit> {
+    proptest::collection::vec(gate, 0..max_len).prop_map(move |gates| {
         let mut c = Circuit::new(n);
         for g in gates {
             c.push(g);
@@ -42,6 +62,20 @@ proptest! {
 
     #[test]
     fn peephole_preserves_the_operator(c in arb_circuit(4, 24)) {
+        let reference = circuit_unitary(&c);
+        let mut optimized = c.clone();
+        peephole::optimize(&mut optimized);
+        prop_assert!(optimized.len() <= c.len());
+        prop_assert!(
+            equal_up_to_phase(&circuit_unitary(&optimized), &reference, 1e-8),
+            "peephole changed the operator of:\n{c}"
+        );
+    }
+
+    #[test]
+    fn peephole_preserves_the_operator_at_quarter_turns(
+        c in circuit_of(4, 24, arb_quarter_turn_gate(4)),
+    ) {
         let reference = circuit_unitary(&c);
         let mut optimized = c.clone();
         peephole::optimize(&mut optimized);
