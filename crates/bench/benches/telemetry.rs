@@ -2,23 +2,32 @@
 //!
 //! Three configurations over the same batch of jobs:
 //!
-//! - `disabled` — the default no-op sink ([`Telemetry::disabled`]); every
+//! - `batch_disabled` — the default no-op sink ([`Telemetry::disabled`]); every
 //!   instrumentation call is an `Option` check that branches away. This
 //!   must sit within noise of the pre-telemetry engine.
-//! - `enabled` — a live [`Collector`]: spans, cache events, and histogram
+//! - `batch_enabled` — a live [`Collector`]: spans, cache events, and histogram
 //!   records all land, bounding what full tracing costs.
-//! - `metrics_only` — a live collector but measured with the cache off,
-//!   isolating the span/histogram path from cache-event traffic.
+//! - `single_disabled` — the disabled sink on one worker, the sequential
+//!   baseline.
 //!
-//! The cache is disabled in every configuration so each iteration measures
-//! real compiles, not cache lookups.
+//! Every configuration uses a cache that keeps nothing
+//! (`max_entries: Some(0)`), so each iteration measures real compiles, not
+//! cache hits.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paulihedral::ir::PauliIR;
-use ph_engine::{BatchEngine, Collector, CompileJob, Pipeline, Target, Telemetry};
+use ph_engine::{BatchEngine, CacheConfig, Collector, CompileJob, Pipeline, Target, Telemetry};
 use workloads::suite;
+
+/// A batch engine whose cache keeps nothing.
+fn uncached() -> BatchEngine {
+    BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(CacheConfig {
+        max_entries: Some(0),
+        ..CacheConfig::unbounded()
+    })
+}
 
 fn jobs_for(irs: &[(String, PauliIR)]) -> Vec<CompileJob> {
     irs.iter()
@@ -35,7 +44,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         .collect();
 
     group.bench_function("batch_disabled", |b| {
-        let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).without_cache();
+        let engine = uncached();
         b.iter(|| engine.compile_all(jobs_for(&irs)));
     });
 
@@ -44,17 +53,13 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             // A fresh collector per iteration so the event buffer does not
             // grow unboundedly across samples.
             let collector = Arc::new(Collector::new());
-            let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
-                .without_cache()
-                .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
+            let engine = uncached().with_telemetry(Telemetry::attached(Arc::clone(&collector)));
             engine.compile_all(jobs_for(&irs))
         });
     });
 
     group.bench_function("single_disabled", |b| {
-        let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
-            .without_cache()
-            .with_threads(1);
+        let engine = uncached().with_threads(1);
         b.iter(|| engine.compile_all(jobs_for(&irs)));
     });
 

@@ -7,20 +7,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use baselines::generic::{self, Mapping};
 use baselines::tk;
 use paulihedral::ir::PauliIR;
 use paulihedral::Scheduler;
-use ph_engine::{
-    BatchEngine, CacheConfig, CacheStats, Collector, CompileJob, CompileReport, Engine,
-    MetricsSnapshot, Pipeline, Target, Telemetry,
-};
+use ph_engine::{CompileReport, Engine, Pipeline, Target};
 use qcircuit::{Circuit, CircuitStats};
 use qdevice::CouplingMap;
-use workloads::suite::{self, BackendClass};
+use workloads::suite::BackendClass;
 
 /// Which generic second-stage pipeline to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,8 +68,8 @@ fn class_target(class: BackendClass, device: &CouplingMap) -> Target {
 
 /// Runs the Paulihedral flow: schedule + block-wise synthesis through the
 /// `ph_engine` pass manager, then a generic clean-up stage (the paper's
-/// `PH+Qiskit_L3` / `PH+tket_O2`). The cache is disabled so `stage1` is a
-/// real compile-time measurement on every call.
+/// `PH+Qiskit_L3` / `PH+tket_O2`). Each call builds a fresh engine, so
+/// its cache is empty and `stage1` is a real compile-time measurement.
 pub fn ph_flow(
     ir: &PauliIR,
     class: BackendClass,
@@ -84,8 +80,7 @@ pub fn ph_flow(
     // Engine and target setup (including the device clone) stays outside
     // the stage-1 timer: it is driver overhead, not compile time, and the
     // pre-engine flow never measured it.
-    let engine =
-        Engine::new(Pipeline::standard(scheduler), class_target(class, device)).without_cache();
+    let engine = Engine::new(Pipeline::standard(scheduler), class_target(class, device));
     let t0 = Instant::now();
     let out = engine
         .compile(ir)
@@ -172,110 +167,6 @@ pub fn scheduled_naive_flow(
     }
 }
 
-/// One benchmark's outcome from [`run_suite`].
-#[derive(Clone, Debug)]
-pub struct SuiteResult {
-    /// Table 1 benchmark name.
-    pub name: String,
-    /// Backend class the benchmark targets.
-    pub class: BackendClass,
-    /// Metrics of the Paulihedral stage-1 circuit (SWAPs decomposed).
-    pub stats: CircuitStats,
-    /// Per-pass instrumentation (cache-hit flag, timings, deltas).
-    pub report: CompileReport,
-}
-
-/// A full suite run: per-benchmark results plus the final counters of the
-/// engine's compilation cache.
-#[derive(Clone, Debug)]
-pub struct SuiteRun {
-    /// Per-benchmark outcomes, in input order.
-    pub results: Vec<SuiteResult>,
-    /// Cache counters after the batch (hits, disk hits, coalesced waits,
-    /// evictions, resident bytes).
-    pub cache: CacheStats,
-    /// The run's telemetry metrics: cache event counters plus latency
-    /// histograms (`compile.total_ns`, `pass.<name>_ns`,
-    /// `batch.job_wall_ns`, `batch.queue_wait_ns`) with
-    /// p50/p90/p99 summaries.
-    pub metrics: MetricsSnapshot,
-}
-
-/// Compiles named Table 1 benchmarks through the [`BatchEngine`]: SC
-/// benchmarks map onto `device` with depth-oriented scheduling (the
-/// paper's SC configuration), FT benchmarks stay logical with adaptive
-/// scheduling. `threads = None` sizes the worker pool to the machine.
-///
-/// Results come back in input order; duplicate names in one call are
-/// compiled once and served from the engine's cache thereafter.
-///
-/// # Panics
-///
-/// Panics on unknown benchmark names (see [`suite::generate`]) and when
-/// `device` cannot host an SC benchmark (disconnected, or smaller than
-/// the benchmark — e.g. UCCSD-12 on a 16-qubit device).
-pub fn run_suite(names: &[&str], device: &CouplingMap, threads: Option<usize>) -> Vec<SuiteResult> {
-    run_suite_with(names, device, threads, CacheConfig::default()).results
-}
-
-/// [`run_suite`] with an explicit cache configuration — point
-/// [`CacheConfig::disk_dir`] at a directory to make a suite run warm-start
-/// from a previous one — returning the cache counters alongside the
-/// results.
-///
-/// # Panics
-///
-/// See [`run_suite`].
-pub fn run_suite_with(
-    names: &[&str],
-    device: &CouplingMap,
-    threads: Option<usize>,
-    cache: CacheConfig,
-) -> SuiteRun {
-    let sc_target = Target::superconducting(device.clone());
-    let mut classes = Vec::with_capacity(names.len());
-    let jobs: Vec<CompileJob> = names
-        .iter()
-        .map(|&name| {
-            let b = suite::generate(name);
-            classes.push(b.class);
-            let job = CompileJob::named(name, b.ir);
-            match b.class {
-                BackendClass::Superconducting => job
-                    .on_target(sc_target.clone())
-                    .with_scheduler(Scheduler::Depth),
-                BackendClass::FaultTolerant => job.with_scheduler(Scheduler::Auto),
-            }
-        })
-        .collect();
-    let collector = Arc::new(Collector::new());
-    let mut engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
-        .with_cache_config(cache)
-        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
-    if let Some(t) = threads {
-        engine = engine.with_threads(t);
-    }
-    let results = engine
-        .compile_all(jobs)
-        .into_iter()
-        .zip(classes)
-        .map(|(r, class)| {
-            let out = r.outcome.unwrap_or_else(|e| panic!("{}: {e}", r.name));
-            SuiteResult {
-                name: r.name,
-                class,
-                stats: out.compiled.circuit.mapped_stats(),
-                report: out.report,
-            }
-        })
-        .collect();
-    SuiteRun {
-        results,
-        cache: engine.engine().cache_stats(),
-        metrics: collector.metrics(),
-    }
-}
-
 /// Formats a duration as seconds with sensible precision.
 pub fn fmt_secs(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -339,6 +230,7 @@ pub fn arg_flag(args: &[String], flag: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ph_engine::{BatchEngine, CompileJob};
     use qdevice::devices;
     use workloads::suite;
 
@@ -401,80 +293,25 @@ mod tests {
     }
 
     #[test]
-    fn run_suite_serves_repeats_from_cache() {
+    fn ph_flow_stage1_matches_a_batch_compile() {
         let device = devices::manhattan_65();
-        // One worker makes the second (identical) job a deterministic hit.
-        let results = run_suite(&["Ising-1D", "Ising-1D"], &device, Some(1));
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].stats.cnot, results[1].stats.cnot);
-        assert!(!results[0].report.cache_hit);
-        assert!(results[1].report.cache_hit);
-        // The report carries the standard pipeline's three passes.
-        let names: Vec<&str> = results[0]
-            .report
-            .passes
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect();
-        assert_eq!(names, ["schedule", "synthesis", "peephole"]);
-    }
-
-    #[test]
-    fn run_suite_warm_starts_from_a_disk_cache() {
-        let dir = std::env::temp_dir().join(format!("ph-bench-disk-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let device = devices::manhattan_65();
-        let names = ["Ising-1D", "Heisen-1D"];
-        let config = CacheConfig {
-            disk_dir: Some(dir.clone()),
-            ..CacheConfig::default()
-        };
-        let cold = run_suite_with(&names, &device, Some(2), config.clone());
-        assert_eq!((cold.cache.misses, cold.cache.disk_hits), (2, 0));
-        // The telemetry snapshot mirrors the cache counters and carries
-        // the per-pass latency histograms.
-        assert_eq!(cold.metrics.counter("cache.miss"), 2);
-        assert_eq!(cold.metrics.counter("cache.disk_write"), 2);
-        let h = cold
-            .metrics
-            .histogram("compile.total_ns")
-            .expect("compile latency histogram present");
-        assert_eq!(h.count, 2);
-        assert!(h.p50 <= h.p90 && h.p90 <= h.p99);
-        // A fresh engine (empty memory tier) against the same directory is
-        // served entirely from disk, bit-identically.
-        let warm = run_suite_with(&names, &device, Some(2), config);
-        assert_eq!((warm.cache.misses, warm.cache.disk_hits), (0, 2));
-        assert_eq!(warm.metrics.counter("cache.disk_read"), 2);
-        assert_eq!(warm.metrics.counter("cache.miss"), 0);
-        for (c, w) in cold.results.iter().zip(&warm.results) {
-            assert_eq!(c.stats, w.stats, "{}: warm stats differ", c.name);
-            assert!(
-                w.report.cache_hit,
-                "{}: warm run must be a cache hit",
-                c.name
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_suite_matches_ph_flow_stage1() {
-        let device = devices::manhattan_65();
-        let results = run_suite(&["REG-20-4"], &device, None);
-        // Same stage-1 circuit metrics as the single-shot flow's engine
-        // compile (before the generic second stage).
+        let ir = suite::generate("REG-20-4").ir;
         let flow = ph_flow(
-            &suite::generate("REG-20-4").ir,
+            &ir,
             BackendClass::Superconducting,
             Scheduler::Depth,
             &device,
             SecondStage::QiskitL3,
         );
-        assert_eq!(
-            results[0].report.final_stats().cnot,
-            flow.report.final_stats().cnot
-        );
+        // The same request through the batch driver: same stage-1 circuit
+        // metrics as the single-shot flow's engine compile.
+        let job = CompileJob::named("REG-20-4", ir)
+            .on_target(Target::superconducting(device))
+            .with_scheduler(Scheduler::Depth);
+        let batch =
+            BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).compile_all(vec![job]);
+        let out = batch[0].outcome.as_ref().expect("valid program");
+        assert_eq!(out.report.final_stats(), flow.report.final_stats());
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub struct BatchResult {
 pub struct BatchEngine {
     engine: Engine,
     threads: usize,
-    intra_threads: usize,
 }
 
 impl BatchEngine {
@@ -91,7 +90,6 @@ impl BatchEngine {
         BatchEngine {
             engine: Engine::new(pipeline, target),
             threads,
-            intra_threads: 1,
         }
     }
 
@@ -101,13 +99,14 @@ impl BatchEngine {
         self
     }
 
-    /// Sets the intra-compile worker budget each job may use for its
-    /// synthesis pass (`0` = one per CPU, default `1` = sequential).
-    /// At batch time the knob is clamped against the job-level pool so a
-    /// wide batch on a small machine never oversubscribes: each job gets
-    /// at most `max(1, cpus / batch_workers)` synthesis workers.
+    /// Sets the underlying engine's intra-compile knob (see
+    /// [`Engine::with_intra_threads`]): the worker budget each job may use
+    /// for its synthesis pass (`0` = one per CPU, default `1` =
+    /// sequential). Batch jobs and service requests clamp it with
+    /// [`BatchEngine::intra_budget`], so a wide pool on a small machine
+    /// never oversubscribes.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> BatchEngine {
-        self.intra_threads = intra_threads;
+        self.engine = self.engine.with_intra_threads(intra_threads);
         self
     }
 
@@ -116,12 +115,6 @@ impl BatchEngine {
     /// call before the first batch.
     pub fn with_cache_config(mut self, config: crate::cache::CacheConfig) -> BatchEngine {
         self.engine = self.engine.with_cache_config(config);
-        self
-    }
-
-    /// Disables the shared compilation cache (every job compiles).
-    pub fn without_cache(mut self) -> BatchEngine {
-        self.engine = self.engine.without_cache();
         self
     }
 
@@ -153,26 +146,22 @@ impl BatchEngine {
         self.threads
     }
 
-    /// The configured per-job intra-compile worker knob (pre-clamp; see
-    /// [`BatchEngine::with_intra_threads`]).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
-    }
-
     /// Workers [`BatchEngine::compile_all`] will actually spawn for a
     /// batch of `jobs` jobs: never more threads than jobs.
     pub fn worker_count(&self, jobs: usize) -> usize {
         self.threads.min(jobs)
     }
 
-    /// The intra-compile worker budget each job in a batch of `jobs` jobs
-    /// actually gets: the configured knob (`0` resolved to the CPU count)
-    /// clamped to the machine share left over by the job-level pool.
+    /// The intra-compile worker budget each of `jobs` concurrent jobs
+    /// actually gets: the engine's knob (`0` resolved to the CPU count)
+    /// clamped to `max(1, cpus / workers)`, the machine share left over by
+    /// the job-level pool. [`BatchEngine::compile_all`] passes the batch
+    /// size; the compile service passes its worker count.
     pub fn intra_budget(&self, jobs: usize) -> usize {
         let cpus = thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        let requested = match self.intra_threads {
+        let requested = match self.engine.intra_threads() {
             0 => cpus,
             t => t,
         };
@@ -221,12 +210,9 @@ impl BatchEngine {
                                 .into(),
                         )],
                     );
-                    let outcome = self.engine.compile_caught_budgeted(
-                        &job.ir,
-                        job.target.as_ref(),
-                        job.scheduler,
-                        intra_budget,
-                    );
+                    let outcome =
+                        self.engine
+                            .run(&job.ir, job.target.as_ref(), job.scheduler, intra_budget);
                     let wall = job_span.finish();
                     telemetry.record_duration("batch.job_wall_ns", wall);
                     telemetry.record_duration("batch.queue_wait_ns", queue_wait);

@@ -38,7 +38,8 @@
 //!
 //! ```text
 //! phc serve [--listen 127.0.0.1:7878] [--backend …] [--scheduler …]
-//!           [--threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N]
+//!           [--threads N] [--intra-threads N] [--queue N]
+//!           [--deadline-ms N] [--watchdog-ms N]
 //!           [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
 //!           [--fault-plan SPEC]
 //!           [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
@@ -131,7 +132,7 @@ usage: phc INPUT.pauli [--backend ft|manhattan|melbourne|linear:N|grid:RxC]
                  [--fault-plan SPEC]
                  [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
        phc serve [--listen ADDR] [--backend B] [--scheduler S] [--threads N]
-                 [--queue N] [--deadline-ms N] [--watchdog-ms N]
+                 [--intra-threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N]
                  [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
                  [--fault-plan SPEC]
                  [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]

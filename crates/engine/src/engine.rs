@@ -28,6 +28,13 @@ pub struct EngineOutput {
 
 /// A compilation engine: one pipeline, one default target, one cache.
 ///
+/// Every request — [`Engine::compile`], [`Engine::compile_with`], a
+/// [`crate::BatchEngine`] job or a [`crate::Server`] request — runs the
+/// same path: the worker fault seam, validation, a cache lookup keyed by
+/// (IR, pipeline, target), the pipeline on a miss, and panic isolation
+/// around all of it. A cache that keeps nothing is
+/// `CacheConfig { max_entries: Some(0), .. }`.
+///
 /// The engine is `Sync` — `&Engine` is all the batch driver's worker
 /// threads need.
 #[derive(Debug)]
@@ -35,7 +42,6 @@ pub struct Engine {
     pipeline: Pipeline,
     target: Target,
     cache: CompileCache,
-    cache_enabled: bool,
     telemetry: Telemetry,
     intra_threads: usize,
     fault: Fault,
@@ -66,7 +72,6 @@ impl Engine {
             pipeline,
             target,
             cache: CompileCache::new(),
-            cache_enabled: true,
             telemetry: Telemetry::disabled(),
             intra_threads: 1,
             fault: Fault::disabled(),
@@ -75,10 +80,12 @@ impl Engine {
 
     /// Sets the intra-compile worker budget for the synthesis pass: `1`
     /// (the default) keeps synthesis sequential, `0` uses one worker per
-    /// available CPU, any other value is taken literally. Purely a
-    /// wall-clock knob — the artifact is bit-identical for every setting,
-    /// so it is excluded from cache keys and cached artifacts stay
-    /// shareable across settings. Builder-style.
+    /// available CPU, any other value is taken literally. Direct compiles
+    /// use it as is; batch jobs and service requests clamp it to their
+    /// share of the machine ([`crate::BatchEngine::intra_budget`]). Purely
+    /// a wall-clock knob — the artifact is bit-identical for every
+    /// setting, so it is excluded from cache keys and cached artifacts
+    /// stay shareable across settings. Builder-style.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> Engine {
         self.intra_threads = intra_threads;
         self
@@ -134,14 +141,6 @@ impl Engine {
         &self.telemetry
     }
 
-    /// Disables the compilation cache (for benchmarking flows that must
-    /// measure real compile time on every request). Also skips request
-    /// fingerprinting entirely — reports carry `key: 0`.
-    pub fn without_cache(mut self) -> Engine {
-        self.cache_enabled = false;
-        self
-    }
-
     /// The engine's pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
@@ -167,13 +166,15 @@ impl Engine {
     /// # Errors
     ///
     /// Returns a [`CompileError`] for an empty program or an unusable SC
-    /// device (see [`paulihedral::validate`]).
+    /// device (see [`paulihedral::validate`]), and
+    /// [`CompileError::Panicked`] when anything under the compile path
+    /// panics.
     pub fn compile(&self, ir: &PauliIR) -> Result<EngineOutput, CompileError> {
         self.compile_with(ir, None, None)
     }
 
     /// Compiles one program with optional per-request target and
-    /// scheduler overrides (the batch driver's entry point).
+    /// scheduler overrides, using the engine's intra-compile knob.
     ///
     /// Concurrent calls with the same request key compile once: one
     /// caller runs the pipeline while the rest wait and share its `Arc`
@@ -188,100 +189,22 @@ impl Engine {
         target: Option<&Target>,
         scheduler: Option<Scheduler>,
     ) -> Result<EngineOutput, CompileError> {
-        self.compile_budgeted(ir, target, scheduler, self.intra_threads)
+        self.run(ir, target, scheduler, self.intra_threads)
     }
 
-    /// [`Engine::compile_with`] with an explicit intra-compile worker
-    /// budget overriding the engine's configured knob — the batch driver
-    /// uses this to divide the machine between concurrent jobs.
-    pub(crate) fn compile_budgeted(
-        &self,
-        ir: &PauliIR,
-        target: Option<&Target>,
-        scheduler: Option<Scheduler>,
-        intra_threads: usize,
-    ) -> Result<EngineOutput, CompileError> {
-        // The worker fault seam sits at the very top of the compile path:
-        // an injected panic unwinds through `compile_caught` exactly like
-        // an organic pass bug would, and an injected delay models a slow
-        // compile without touching the passes.
-        match self.fault.worker() {
-            WorkerFault::Panic => panic!("injected fault: worker panic"),
-            WorkerFault::Delay(d) => std::thread::sleep(d),
-            WorkerFault::None => {}
-        }
-        // The request span both traces the compile and is its timer: its
-        // wall time becomes `CompileReport::total`.
-        let span = self.telemetry.span("compile");
-        let target = target.unwrap_or(&self.target);
-        validate(ir, &target.as_backend())?;
-        let observer = ShardSpans {
-            telemetry: &self.telemetry,
-        };
-        let mut intra = Intra::new(intra_threads);
-        if self.telemetry.is_enabled() {
-            intra = intra.with_observer(&observer);
-        }
-        let ctx = PassContext {
-            target,
-            scheduler_override: scheduler,
-            intra,
-        };
-
-        if !self.cache_enabled {
-            // No cache ⇒ no reason to pay IR fingerprinting on every
-            // request; benchmark flows measure pure compile time.
-            let entry = self.execute(ir, &ctx, 0)?;
-            let mut report = entry.report;
-            report.total = span.finish();
-            self.telemetry
-                .record_duration("compile.total_ns", report.total);
-            return Ok(EngineOutput {
-                compiled: entry.compiled,
-                report,
-            });
-        }
-
-        let key = self.request_key(ir, &ctx);
-        let (entry, outcome) = self
-            .cache
-            .get_or_compute(key, || self.execute(ir, &ctx, key))?;
-        let mut report = entry.report;
-        report.cache_hit = outcome != CacheOutcome::Compiled;
-        report.total = span.finish();
-        self.telemetry
-            .record_duration("compile.total_ns", report.total);
-        Ok(EngineOutput {
-            compiled: entry.compiled,
-            report,
-        })
-    }
-
-    /// Like [`Engine::compile_with`], but panic-isolating: a panicking
-    /// pass (or a bug anywhere under the compile path) is caught and
-    /// returned as [`CompileError::Panicked`] instead of unwinding into
-    /// the caller. This is what the batch driver and the compile service
-    /// use so one bad job cannot tear down a worker thread — and the
+    /// The one compile path under [`Engine::compile_with`], the batch
+    /// driver and the compile service, with an explicit intra-compile
+    /// worker budget (the batch driver and the service divide the machine
+    /// between concurrent jobs with [`crate::BatchEngine::intra_budget`]).
+    ///
+    /// Every request goes through the cache and is panic-isolated: a
+    /// panicking pass (or a bug anywhere under the compile path) is caught
+    /// and returned as [`CompileError::Panicked`] instead of unwinding into
+    /// the caller, so one bad job cannot tear down a worker thread. The
     /// single-flight cache's failure-handover path already treats a
     /// leader's unwind as a retryable failure, so coalesced waiters are
     /// unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Engine::compile_with`] returns, plus
-    /// [`CompileError::Panicked`].
-    pub fn compile_caught(
-        &self,
-        ir: &PauliIR,
-        target: Option<&Target>,
-        scheduler: Option<Scheduler>,
-    ) -> Result<EngineOutput, CompileError> {
-        self.compile_caught_budgeted(ir, target, scheduler, self.intra_threads)
-    }
-
-    /// [`Engine::compile_caught`] with an explicit intra-compile worker
-    /// budget (see [`Engine::compile_budgeted`]).
-    pub(crate) fn compile_caught_budgeted(
+    pub(crate) fn run(
         &self,
         ir: &PauliIR,
         target: Option<&Target>,
@@ -293,7 +216,45 @@ impl Engine {
         // critical sections swap complete values and its locks recover
         // from poisoning, so observing post-panic state is sound.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.compile_budgeted(ir, target, scheduler, intra_threads)
+            // The worker fault seam sits at the very top of the compile
+            // path: an injected panic unwinds exactly like an organic pass
+            // bug would, and an injected delay models a slow compile
+            // without touching the passes.
+            match self.fault.worker() {
+                WorkerFault::Panic => panic!("injected fault: worker panic"),
+                WorkerFault::Delay(d) => std::thread::sleep(d),
+                WorkerFault::None => {}
+            }
+            // The request span both traces the compile and is its timer:
+            // its wall time becomes `CompileReport::total`.
+            let span = self.telemetry.span("compile");
+            let target = target.unwrap_or(&self.target);
+            validate(ir, &target.as_backend())?;
+            let observer = ShardSpans {
+                telemetry: &self.telemetry,
+            };
+            let mut intra = Intra::new(intra_threads);
+            if self.telemetry.is_enabled() {
+                intra = intra.with_observer(&observer);
+            }
+            let ctx = PassContext {
+                target,
+                scheduler_override: scheduler,
+                intra,
+            };
+            let key = self.request_key(ir, &ctx);
+            let (entry, outcome) = self
+                .cache
+                .get_or_compute(key, || self.execute(ir, &ctx, key))?;
+            let mut report = entry.report;
+            report.cache_hit = outcome != CacheOutcome::Compiled;
+            report.total = span.finish();
+            self.telemetry
+                .record_duration("compile.total_ns", report.total);
+            Ok(EngineOutput {
+                compiled: entry.compiled,
+                report,
+            })
         }))
         // `as_ref` reaches the payload itself; `&payload` would coerce the
         // `Box` into the `dyn Any` and every downcast below would miss.

@@ -231,13 +231,14 @@ pub struct FaultCounters {
     pub conn_stalls: u64,
 }
 
-/// One splitmix64 stream. Tiny, deterministic, and entirely local so the
-/// fault layer shares no RNG state with anything else in the process.
+/// One splitmix64 stream seeded with its starting state. Tiny,
+/// deterministic, and owned by its user, so no two users (the fault
+/// layer's seams, a client's retry jitter) share RNG state.
 #[derive(Debug)]
-struct Stream(u64);
+pub(crate) struct Stream(pub(crate) u64);
 
 impl Stream {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -54,9 +54,7 @@ pub struct CompileReport {
     /// Whether the result was served from the compilation cache (memory
     /// tier, disk tier, or coalesced onto another worker's compile).
     pub cache_hit: bool,
-    /// The content-addressed cache key of (IR, pipeline, target). `0` when
-    /// the engine runs `without_cache()` — fingerprinting is skipped
-    /// entirely so benchmark flows don't pay for hashing they never use.
+    /// The content-addressed cache key of (IR, pipeline, target).
     pub key: u64,
 }
 

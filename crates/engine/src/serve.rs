@@ -18,9 +18,9 @@
 //!   jobs still queued when it passes (`deadline_exceeded`), so a slow
 //!   queue cannot serve stale work.
 //! * **Errors as values.** Compiler rejections, panics inside a pass
-//!   ([`crate::Engine::compile_caught`]), malformed requests, and
-//!   oversized lines are all wire responses; none of them kill the
-//!   connection, the worker, or the server.
+//!   (caught by the engine's compile path, [`crate::Engine`]), malformed
+//!   requests, and oversized lines are all wire responses; none of them
+//!   kill the connection, the worker, or the server.
 //! * **Dead connections don't waste workers.** A client that vanishes
 //!   mid-stream is detected at the first failed response write; that
 //!   connection's still-queued jobs are cancelled instead of compiled
@@ -34,7 +34,13 @@
 //! * **Graceful drain.** A `shutdown` request (or [`ServerHandle::shutdown`])
 //!   stops accepting connections and new work, but every job already
 //!   accepted is answered (compiled, cancelled, or timed out) before
-//!   [`Server::run`] returns.
+//!   [`Server::run`] returns. The barrier is the registry of live
+//!   connections, which a connection leaves when its reader finishes
+//!   (finished readers are joined as new connections arrive), so the
+//!   server holds sockets and threads only for open connections.
+//!
+//! Workers compile with the batch driver's intra-compile clamp:
+//! [`crate::BatchEngine::intra_budget`] for a pool of `threads` workers.
 //!
 //! Telemetry: each connection runs under a `conn` span, each job under a
 //! `request` span (with `id`/`conn`/`queue_wait_us` args) that the
@@ -43,12 +49,12 @@
 //! `serve.watchdog_timeout` instants and `serve.queue_wait_ns` /
 //! `serve.request_ns` histograms.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use paulihedral::ir::PauliIR;
@@ -62,6 +68,10 @@ use crate::pass::Target;
 use crate::persist;
 use crate::proto::{self, CompileRequest, Request};
 
+/// Longest accepted request line in bytes; longer lines are answered with
+/// `request_too_large` and the connection is closed.
+const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
+
 /// Tunables of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -71,9 +81,6 @@ pub struct ServeConfig {
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms` (`None` = no default deadline).
     pub default_deadline: Option<Duration>,
-    /// Longest accepted request line in bytes; longer lines are answered
-    /// with `request_too_large` and the connection is closed.
-    pub max_line_bytes: usize,
     /// Stuck-job threshold: a job inside a worker longer than this is
     /// force-answered with a `watchdog_timeout` report and its worker is
     /// written off and replaced (`None` = no watchdog).
@@ -85,7 +92,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_depth: 256,
             default_deadline: None,
-            max_line_bytes: 16 * 1024 * 1024,
             watchdog: None,
         }
     }
@@ -168,8 +174,7 @@ impl Conn {
         line.push('\n');
         match self.fault.conn_write() {
             ConnFault::Drop => {
-                self.dead.store(true, Ordering::SeqCst);
-                self.close();
+                self.hang_up();
                 return;
             }
             ConnFault::Truncate => {
@@ -179,8 +184,7 @@ impl Conn {
                     let _ = stream.write_all(&line.as_bytes()[..cut]);
                     let _ = stream.flush();
                 }
-                self.dead.store(true, Ordering::SeqCst);
-                self.close();
+                self.hang_up();
                 return;
             }
             ConnFault::Stall(d) => thread::sleep(d),
@@ -227,6 +231,17 @@ impl Conn {
         }
     }
 
+    /// Drops the client: marks the connection dead and shuts down the
+    /// write side only, so the reader keeps draining what the client still
+    /// sends until it hangs up. Shutting down the read side as well stops
+    /// the window updates to a client blocked mid-send; once the reader
+    /// then ends and the socket closes, that client stalls on a zero window
+    /// until the kernel drops the orphaned socket (over 100 s on Linux).
+    fn hang_up(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = relock(&self.writer).shutdown(Shutdown::Write);
+    }
+
     /// Closes the socket (both halves), once.
     fn close(&self) {
         if !self.closed.swap(true, Ordering::SeqCst) {
@@ -250,11 +265,10 @@ struct Inner {
     draining: AtomicBool,
     /// Set once the drain has finished; stops the watchdog thread.
     done: AtomicBool,
-    conns: Mutex<Vec<Arc<Conn>>>,
-    /// Accepted compile requests not yet answered (the drain barrier:
-    /// [`Server::run`] returns once draining is set and this hits zero).
-    outstanding: Mutex<u64>,
-    drained: Condvar,
+    /// Live connections by id — the drain barrier: [`Server::run`]
+    /// returns once draining is set and each of these has no unanswered
+    /// job. A connection leaves when its reader finishes.
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
     /// Jobs currently inside a worker, with their start instants — what
     /// the watchdog scans.
     running: Mutex<Vec<(Arc<Ticket>, Instant)>>,
@@ -329,34 +343,25 @@ impl Inner {
             self.draining.store(true, Ordering::SeqCst);
         }
         self.queue_cv.notify_all();
-        // The drain barrier may already hold (nothing outstanding).
-        self.drained.notify_all();
         // Unblock the accept loop: it re-checks `draining` per connection,
         // so one throwaway local connect is enough to let it exit.
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Blocks until draining is requested and every accepted job has been
-    /// answered.
+    /// Blocks until every accepted job of every live connection has been
+    /// answered. Called once the accept loop has stopped, so no
+    /// connection can join the registry behind the scan; a connection
+    /// that left it had already answered all of its jobs.
     fn wait_drained(&self) {
-        let mut outstanding = relock(&self.outstanding);
-        while *outstanding > 0 {
-            outstanding = self
-                .drained
-                .wait(outstanding)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let live: Vec<Arc<Conn>> = relock(&self.conns).values().cloned().collect();
+        for conn in live {
+            conn.wait_idle();
         }
     }
 
-    /// Claims one outstanding-answer slot for a just-accepted job.
-    fn accept_one(&self, conn: &Conn) {
-        conn.add_pending();
-        *relock(&self.outstanding) += 1;
-    }
-
     /// Answers one accepted job exactly once: writes the report line (if
-    /// any — cancelled jobs write nothing), releases the connection's
-    /// pending slot, and decrements the drain barrier. Returns `false`
+    /// any — cancelled jobs write nothing) and releases the connection's
+    /// pending slot, which is what the drain waits on. Returns `false`
     /// when someone else (worker vs. watchdog) answered first. The
     /// winner's outcome counter is bumped *before* the write, so a client
     /// that reads its report and immediately asks for `stats` sees it
@@ -371,11 +376,6 @@ impl Inner {
             ticket.conn.count_report();
         }
         ticket.conn.complete();
-        let mut outstanding = relock(&self.outstanding);
-        *outstanding -= 1;
-        if *outstanding == 0 {
-            self.drained.notify_all();
-        }
         true
     }
 
@@ -481,7 +481,7 @@ impl Inner {
             .map(Duration::from_millis)
             .or(self.config.default_deadline)
             .map(|d| Instant::now() + d);
-        self.accept_one(conn);
+        conn.add_pending();
         let ticket = Arc::new(Ticket {
             conn: Arc::clone(conn),
             id: req.id,
@@ -517,6 +517,8 @@ impl Inner {
     /// report (unless the watchdog already answered for us).
     fn worker(self: &Arc<Inner>) {
         let telemetry = self.batch.engine().telemetry().clone();
+        // The pool runs `threads` jobs at once, like a batch that size.
+        let intra_budget = self.batch.intra_budget(self.batch.threads());
         while let Some(job) = self.pop() {
             let queue_wait = job.enqueued.elapsed();
             let span = telemetry.span_with(
@@ -549,10 +551,11 @@ impl Inner {
             } else {
                 relock(&self.running).push((Arc::clone(&job.ticket), Instant::now()));
                 let t0 = Instant::now();
-                let outcome = self.batch.engine().compile_caught(
+                let outcome = self.batch.engine().run(
                     &job.ir,
                     job.target.as_ref(),
                     job.req.scheduler,
+                    intra_budget,
                 );
                 let wall = t0.elapsed();
                 relock(&self.running).retain(|(t, _)| !Arc::ptr_eq(t, &job.ticket));
@@ -672,12 +675,12 @@ impl Inner {
         let span = telemetry.span_with("conn", vec![("conn", conn.id.into())]);
         let mut reader = BufReader::new(stream);
         loop {
-            match read_line(&mut reader, self.config.max_line_bytes) {
+            match read_line(&mut reader, MAX_LINE_BYTES) {
                 Line::Eof => break,
                 Line::TooLong => {
                     conn.write_line(&proto::error_json(
                         "request_too_large",
-                        &format!("request line exceeds {} bytes", self.config.max_line_bytes),
+                        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                     ));
                     break;
                 }
@@ -723,6 +726,7 @@ impl Inner {
             ("served", Json::U64(conn.served.load(Ordering::Relaxed))),
         ]));
         conn.close();
+        relock(&self.conns).remove(&conn.id);
         drop(span);
     }
 }
@@ -791,9 +795,7 @@ impl Server {
                 queue_cv: Condvar::new(),
                 draining: AtomicBool::new(false),
                 done: AtomicBool::new(false),
-                conns: Mutex::new(Vec::new()),
-                outstanding: Mutex::new(0),
-                drained: Condvar::new(),
+                conns: Mutex::new(HashMap::new()),
                 running: Mutex::new(Vec::new()),
                 connections: AtomicU64::new(0),
                 requests: AtomicU64::new(0),
@@ -825,8 +827,9 @@ impl Server {
     /// counters.
     ///
     /// Workers are detached rather than joined: the drain barrier counts
-    /// *answers*, not worker exits, so a worker wedged on a stuck compile
-    /// (written off by the watchdog) cannot wedge the drain with it.
+    /// *answers* (each live connection's unanswered jobs), not worker
+    /// exits, so a worker wedged on a stuck compile (written off by the
+    /// watchdog) cannot wedge the drain with it.
     pub fn run(self) -> ServeStats {
         let inner = self.inner;
         for _ in 0..inner.batch.threads() {
@@ -838,7 +841,7 @@ impl Server {
             thread::spawn(move || inner.watchdog(threshold))
         });
 
-        let mut conn_threads = Vec::new();
+        let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if inner.draining.load(Ordering::SeqCst) {
                 break;
@@ -858,7 +861,15 @@ impl Server {
                 dead: AtomicBool::new(false),
                 fault: inner.batch.engine().fault().clone(),
             });
-            relock(&inner.conns).push(Arc::clone(&conn));
+            relock(&inner.conns).insert(id, Arc::clone(&conn));
+            // Join the readers of connections that have ended, so only
+            // live connections hold a thread.
+            let (finished, live): (Vec<_>, Vec<_>) =
+                conn_threads.drain(..).partition(JoinHandle::is_finished);
+            for t in finished {
+                let _ = t.join();
+            }
+            conn_threads = live;
             let inner = Arc::clone(&inner);
             conn_threads.push(thread::spawn(move || inner.handle_conn(conn, stream)));
         }
@@ -871,7 +882,7 @@ impl Server {
         // Readers may still be blocked on clients that never hang up;
         // closing the sockets gives them EOF and lets them finish their
         // own goodbye path.
-        for conn in relock(&inner.conns).iter() {
+        for conn in relock(&inner.conns).values() {
             conn.close();
         }
         for t in conn_threads {

@@ -361,9 +361,7 @@ fn client_retries_through_dropped_connections() {
 #[test]
 fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant)
-        .without_cache()
-        .with_threads(1);
+    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
     let config = ServeConfig {
         watchdog: Some(Duration::from_millis(100)),
         ..ServeConfig::default()
@@ -427,9 +425,7 @@ fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
 #[test]
 fn dead_connection_cancels_queued_jobs() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant)
-        .without_cache()
-        .with_threads(1);
+    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
 
     let mut client = Connection::connect(addr).expect("connect");

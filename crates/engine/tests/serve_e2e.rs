@@ -1,9 +1,12 @@
 //! End-to-end tests of the compile service: wire-level bit-identity with
 //! in-process compilation over the full Table 1 suite, incremental report
-//! streaming, backpressure, deadlines, graceful drain, and errors (including
-//! panics) delivered as values without killing the server.
+//! streaming, backpressure, deadlines, graceful drain, errors (including
+//! panics and oversized lines) delivered as values without killing the
+//! server, the intra-compile budget, and no per-connection leftovers.
 
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -13,9 +16,10 @@ use paulihedral::{CompileError, Scheduler};
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    BatchEngine, CompileJob, CompileUnit, Connection, Engine, Pass, PassContext, Pipeline,
-    ServeConfig, ServeStats, Server, ServerHandle, Target,
+    BatchEngine, Collector, CompileJob, CompileUnit, Connection, Engine, Pass, PassContext,
+    Pipeline, ServeConfig, ServeStats, Server, ServerHandle, Target, Telemetry,
 };
+use ph_telemetry::EventKind;
 use workloads::suite::{self, BackendClass};
 
 const TINY_IR: &str = "{(ZZY, 0.5), 1.0};\n{(XXI, 0.3), 1.0};\n";
@@ -497,9 +501,7 @@ fn batch_jobs_that_panic_become_per_job_errors() {
         .schedule(Scheduler::Auto)
         .synthesize()
         .build();
-    let engine = BatchEngine::new(pipeline, Target::FaultTolerant)
-        .without_cache()
-        .with_threads(2);
+    let engine = BatchEngine::new(pipeline, Target::FaultTolerant).with_threads(2);
     let ir = parse_program(TINY_IR).expect("parse");
     let results = engine.compile_all(vec![
         CompileJob::named("a", ir.clone()),
@@ -537,6 +539,122 @@ fn wire_stats_expose_service_and_cache_counters() {
     assert_eq!(field_u64(cache, "misses"), 1);
     assert_eq!(field_u64(cache, "hits"), 1);
 
+    handle.shutdown();
+    runner.join().expect("server thread");
+}
+
+/// The service compiles with the batch driver's intra-compile budget:
+/// `with_intra_threads(2)` on a one-worker pool shards synthesis whenever
+/// the machine has a second CPU to give, and never otherwise.
+#[test]
+fn server_workers_use_the_intra_compile_budget() {
+    let collector = Arc::new(Collector::new());
+    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+        .with_threads(1)
+        .with_intra_threads(2)
+        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
+    // A 300-qubit Heisenberg chain: 3 strings per edge, well over twice
+    // the 256-string grain of `chain.emit`.
+    let ir = workloads::spin::heisenberg_ir(&[300], 1.0, 0.1);
+    assert!(ir.total_strings() >= 512);
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+    let mut client = Connection::connect(addr).expect("connect");
+    client
+        .send(&compile_req(1, &print_program(&ir)))
+        .expect("send");
+    assert!(is_ok_report(&recv(&mut client)));
+    handle.shutdown();
+    runner.join().expect("server thread");
+
+    let shards = collector
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name.starts_with("shard:"))
+        .count();
+    let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    if cpus >= 2 {
+        assert!(
+            shards > 0,
+            "{cpus} CPUs, intra budget 2, but no shard spans"
+        );
+    } else {
+        assert_eq!(shards, 0, "one CPU leaves no intra budget");
+    }
+}
+
+/// Descriptors open in this process, or `None` where `/proc/self/fd`
+/// cannot be read.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count)
+}
+
+/// One short-lived client: connect, ping, half-close, read `bye` and EOF.
+fn ping_and_leave(addr: SocketAddr) {
+    let mut client = Connection::connect(addr).expect("connect");
+    client.send(&Request::Ping).expect("send");
+    assert_eq!(field_str(&recv(&mut client), "type"), "pong");
+    client.finish().expect("half-close");
+    assert_eq!(field_str(&recv(&mut client), "type"), "bye");
+    assert!(client.recv().expect("read").is_none(), "closed after bye");
+}
+
+/// Ended connections release their sockets: 64 sequential clients leave
+/// the process's open descriptors within a few of where they started.
+#[test]
+fn ended_connections_release_their_sockets() {
+    if open_fds().is_none() {
+        eprintln!("skipped: /proc/self/fd is not readable here");
+        return;
+    }
+    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+    ping_and_leave(addr);
+    let before = open_fds().expect("fd count");
+    for _ in 0..64 {
+        ping_and_leave(addr);
+    }
+    // The server drops a connection just after its `bye`, and other tests
+    // in this binary open sockets of their own: poll for the slack.
+    const SLACK: usize = 8;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = open_fds().expect("fd count");
+    while after > before + SLACK && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+        after = open_fds().expect("fd count");
+    }
+    assert!(
+        after <= before + SLACK,
+        "64 ended connections left {} descriptors open ({before} -> {after})",
+        after.saturating_sub(before)
+    );
+    handle.shutdown();
+    runner.join().expect("server thread");
+}
+
+/// A request line over the 16 MiB limit is answered with
+/// `request_too_large`, and the server then closes the connection.
+#[test]
+fn an_oversized_request_line_is_rejected_and_the_connection_closed() {
+    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // One byte over the limit and no newline: the server reads every byte
+    // sent before it answers, so its close leaves nothing unread.
+    stream
+        .write_all(&vec![b'x'; 16 * 1024 * 1024 + 1])
+        .expect("send");
+    let lines: Vec<Json> = BufReader::new(stream)
+        .lines()
+        .map(|l| Json::parse(&l.expect("read until the server closes")).expect("json"))
+        .collect();
+    assert_eq!(field_str(&lines[0], "type"), "error");
+    assert_eq!(field_str(&lines[0], "error_kind"), "request_too_large");
+    // Nothing but the goodbye follows before EOF.
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert_eq!(field_str(&lines[1], "type"), "bye");
     handle.shutdown();
     runner.join().expect("server thread");
 }

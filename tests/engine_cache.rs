@@ -11,7 +11,9 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use ph_engine::cache::{CacheEntry, CompileCache};
-use ph_engine::{BatchEngine, CacheConfig, CompileJob, Engine, Pipeline, Target};
+use ph_engine::{
+    BatchEngine, CacheConfig, Collector, CompileJob, Engine, Pipeline, Target, Telemetry,
+};
 use workloads::suite;
 
 /// A unique, self-cleaning cache directory under the system temp dir.
@@ -69,18 +71,33 @@ fn ft_jobs() -> Vec<CompileJob> {
 fn disk_tier_warm_starts_a_fresh_engine_bit_identically() {
     let dir = CacheDir::new("roundtrip");
 
-    let cold = ft_engine(dir.config());
+    let cold_trace = Arc::new(Collector::new());
+    let cold = ft_engine(dir.config()).with_telemetry(Telemetry::attached(Arc::clone(&cold_trace)));
     let cold_results = cold.compile_all(ft_jobs());
     let n = cold_results.len() as u64;
     let cs = cold.engine().cache_stats();
     assert_eq!((cs.misses, cs.disk_hits), (n, 0), "cold run compiles all");
     assert_eq!(dir.files().len() as u64, n, "one cache file per program");
+    // The telemetry counters mirror the cache counters, and every request
+    // lands in the compile latency histogram.
+    let cm = cold_trace.metrics();
+    assert_eq!(cm.counter("cache.miss"), n);
+    assert_eq!(cm.counter("cache.disk_write"), n);
+    let h = cm
+        .histogram("compile.total_ns")
+        .expect("compile latency histogram present");
+    assert_eq!(h.count, n);
+    assert!(h.p50 <= h.p90 && h.p90 <= h.p99);
 
     // A fresh engine (empty memory tier) must serve everything from disk.
-    let warm = ft_engine(dir.config());
+    let warm_trace = Arc::new(Collector::new());
+    let warm = ft_engine(dir.config()).with_telemetry(Telemetry::attached(Arc::clone(&warm_trace)));
     let warm_results = warm.compile_all(ft_jobs());
     let ws = warm.engine().cache_stats();
     assert_eq!((ws.misses, ws.disk_hits), (0, n), "warm run never compiles");
+    let wm = warm_trace.metrics();
+    assert_eq!(wm.counter("cache.disk_read"), n);
+    assert_eq!(wm.counter("cache.miss"), 0);
 
     for (c, w) in cold_results.iter().zip(&warm_results) {
         let cold_out = c.outcome.as_ref().expect("suite benchmarks compile");
@@ -309,21 +326,34 @@ fn panicking_leader_does_not_wedge_or_poison_the_cache() {
     assert_eq!(cache.stats().entries, 2);
 }
 
+/// A cache that keeps nothing is a bound, not a separate path: every
+/// request is fingerprinted, compiled, and evicted, and none hits.
 #[test]
-fn without_cache_skips_key_derivation_and_never_hits() {
+fn zero_entry_cache_compiles_every_request_and_never_hits() {
     let ir = suite::generate("Ising-1D").ir;
     let jobs: Vec<CompileJob> = (0..3)
         .map(|i| CompileJob::named(format!("step-{i}"), ir.clone()))
         .collect();
 
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
-        .without_cache()
-        .with_threads(1);
-    for r in engine.compile_all(jobs) {
-        let out = r.outcome.expect("valid program");
-        assert!(!out.report.cache_hit);
-        assert_eq!(out.report.key, 0, "uncached compiles skip fingerprinting");
+    let engine = ft_engine(CacheConfig {
+        max_entries: Some(0),
+        ..CacheConfig::unbounded()
+    })
+    .with_threads(1);
+    let outputs: Vec<_> = engine
+        .compile_all(jobs)
+        .into_iter()
+        .map(|r| r.outcome.expect("valid program"))
+        .collect();
+    for o in &outputs {
+        assert!(!o.report.cache_hit);
+        assert_ne!(o.report.key, 0, "every request is fingerprinted");
+        assert_eq!(o.report.key, outputs[0].report.key);
+        assert_eq!(o.compiled.circuit, outputs[0].compiled.circuit);
     }
     let stats = engine.engine().cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+    assert_eq!(
+        (stats.hits, stats.misses, stats.entries, stats.evictions),
+        (0, 3, 0, 3)
+    );
 }
